@@ -2,10 +2,10 @@ package main
 
 // dbox capture: record live traffic into a fitted device profile.
 // Local mode builds a listener-less, time-compressed testbed and
-// drives a closed-loop swarm source while tapping it — 60 scenario
-// seconds settle in wall milliseconds — while -remote captures on a
-// daemon, either tapping its live broker or driving a swarm run
-// through POST /ctl/capture.
+// drives a closed-loop swarm source, fitting what it publishes — 60
+// scenario seconds settle in wall milliseconds — while -remote
+// captures on a daemon, either tapping its live broker or driving a
+// swarm run through POST /ctl/capture.
 
 import (
 	"context"

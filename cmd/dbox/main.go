@@ -94,7 +94,7 @@ commands (Table 1):
   trace save FILE | trace push NAME
   chaos run PLAN.yaml
   swarm [-devices N] [-rate R] [-shards S] [-profile closed|open|FILE]
-        [-mock] [-kill-shard N@T] [-max-recovery-p99 MS]
+        [-kill-shard N@T] [-max-recovery-p99 MS]
         [-max-p99 MS] [-o BENCH_swarm.json] [-remote]
   capture [-name N] [-seed S] [-duration D] [-o PROFILE.yaml]
           [-devices N] [-period P] [-speed N|max] [-commit] [-remote]

@@ -24,9 +24,9 @@ import (
 
 // swarmCmd implements:
 //
-//	dbox swarm [-devices N] [-rate R] [-shards S] [-profile closed|open]
+//	dbox swarm [-devices N] [-rate R] [-shards S] [-profile closed|open|FILE]
 //	           [-duration D] [-period P] [-workers N] [-subs N]
-//	           [-seed N] [-qos 0|1] [-payload B] [-nodes N] [-mock]
+//	           [-seed N] [-qos 0|1] [-nodes N]
 //	           [-kill-shard N@T] [-max-recovery-p99 MS]
 //	           [-max-p99 MS] [-o BENCH_swarm.json] [-remote]
 //
@@ -57,9 +57,7 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 	subs := fs.Int("subs", 0, "wildcard consumer subscriptions")
 	seed := fs.Int64("seed", 0, "load-generator seed")
 	qos := fs.Int("qos", 1, "publish QoS (0 or 1)")
-	payload := fs.Int("payload", 0, "synthetic payload size in bytes")
 	nodes := fs.Int("nodes", 3, "local-mode kube nodes to spread workers over")
-	mock := fs.Bool("mock", false, "drive digi swarm-mock fleets instead of synthetic payloads")
 	maxP99 := fs.Float64("max-p99", 0, "fail when p99 publish→deliver latency exceeds this many ms")
 	maxRecP99 := fs.Float64("max-recovery-p99", 0, "fail when p99 shard-failover recovery exceeds this many ms (with -kill-shard)")
 	out := fs.String("o", "", "write the JSON report (BENCH_swarm.json) to this file")
@@ -104,10 +102,8 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 			Workers:     *workers,
 			Seed:        *seed,
 			QoS:         *qos,
-			Payload:     *payload,
 			Subscribers: *subs,
 			Shards:      *shards,
-			Mock:        *mock,
 		}
 		if deviceProf != nil {
 			req.DeviceProfile = deviceProf.Value()
@@ -126,7 +122,7 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 		rep, err = run.Swarm(req)
 	} else {
 		spec := swarmLocalSpec(discipline, *devices, *rate, *period,
-			*duration, *workers, *subs, *seed, *qos, *payload, *shards, *mock)
+			*duration, *workers, *subs, *seed, *qos, *shards)
 		spec.Load.DeviceProfile = deviceProf
 		spec.Kills = kills
 		rep, err = swarmLocal(spec, *nodes)
@@ -175,7 +171,7 @@ func parseShardKill(v string) (core.ShardKill, error) {
 }
 
 func swarmLocalSpec(profile string, devices int, rate float64, period, duration time.Duration,
-	workers, subs int, seed int64, qos, payload, shards int, mock bool) core.SwarmSpec {
+	workers, subs int, seed int64, qos, shards int) core.SwarmSpec {
 	return core.SwarmSpec{
 		Load: swarm.LoadSpec{
 			Profile:  swarm.Profile(profile),
@@ -187,10 +183,8 @@ func swarmLocalSpec(profile string, devices int, rate float64, period, duration 
 			Subs:     subs,
 			Seed:     seed,
 			QoS:      byte(qos),
-			Payload:  payload,
 		},
 		Shards: shards,
-		Mock:   mock,
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // The run shards the MQTT message plane across two brokers, spreads
 // four load-generator pods over four kube nodes, and pushes an
-// open-loop 5k msg/s Poisson stream from 2 000 swarm-mock devices
+// open-loop 5k msg/s Poisson stream from 2 000 random-walk devices
 // through the pool for three seconds. The settled report carries exact
 // message accounting (published, delivered, lost) and the sampled
 // publish→deliver latency quantiles; at QoS 1 the in-process plane
@@ -45,7 +45,6 @@ func main() {
 
 	rep, err := tb.RunSwarm(context.Background(), digibox.SwarmSpec{
 		Shards: 2,
-		Mock:   true, // deterministic random-walk payloads from the digi fleet
 		Load: swarm.LoadSpec{
 			Profile:  swarm.ProfileOpen,
 			Devices:  2000,

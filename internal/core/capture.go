@@ -50,10 +50,11 @@ type CaptureResult struct {
 }
 
 // Capture records traffic into a fitted profile. With spec.Swarm set
-// it runs that swarm session with the capture tap attached; otherwise
-// it subscribes to the testbed's broker for spec.Duration of scenario
-// time (compressed by TimeScale like everything else) and fits what
-// the scene's own digis publish. The testbed must be started.
+// it runs that swarm session and observes every message it publishes;
+// otherwise it subscribes to the testbed's broker for spec.Duration of
+// scenario time (compressed by TimeScale like everything else) and
+// fits what the scene's own digis publish. The testbed must be
+// started.
 func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResult, error) {
 	if spec.Name == "" {
 		spec.Name = "captured"
@@ -61,8 +62,12 @@ func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResul
 	cap := profile.NewCapture(tb.clk)
 	var rep *swarm.Report
 	if spec.Swarm != nil {
+		// Swarm traffic is fitted from its scheduled offsets, taken on
+		// the publish path: the fit is then a pure function of the
+		// schedule, never of when concurrent workers happened to read
+		// the shared compressed clock.
 		sw := *spec.Swarm
-		sw.Tap = cap.Observe
+		sw.published = cap.ObserveAt
 		var err error
 		rep, err = tb.RunSwarm(ctx, sw)
 		if err != nil {

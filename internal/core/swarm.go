@@ -14,9 +14,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/chaos"
 	"repro/internal/clock"
-	"repro/internal/digi"
 	"repro/internal/kube"
-	"repro/internal/profile"
 	"repro/internal/swarm"
 )
 
@@ -28,18 +26,19 @@ type SwarmSpec struct {
 	// Shards is the broker shard count; 0 derives it from the device
 	// count (swarm.RequiredShards).
 	Shards int
-	// Mock publishes stateful digi swarm-mock payloads (deterministic
-	// per-device random walks) instead of the generator's synthetic
-	// padded JSON.
-	Mock bool
 	// Kills schedules shard-kill faults during the run — the failover
 	// drill. Each kill is compiled into a chaos plan (seeded from the
 	// load seed) and applied by the pool's self-healing plane.
 	Kills []ShardKill
 	// Tap, when set, receives every message the run's consumers see —
-	// the capture path's feed. It must be fast and non-blocking; it
-	// runs on the delivery path.
+	// the delivery-side feed digest oracles hash. It must be fast and
+	// non-blocking; it runs on the delivery path.
 	Tap func(topic string, payload []byte) `json:"-"`
+
+	// published, when set, sees every message the pool accepted with
+	// its scheduled offset — the publish-side feed swarm captures fit
+	// from (Session.OnPublish).
+	published func(topic string, at time.Duration, payload []byte)
 }
 
 // ShardKill is one scheduled shard crash: shard Shard dies At into the
@@ -106,42 +105,16 @@ func (tb *Testbed) RunSwarm(ctx context.Context, spec SwarmSpec) (*swarm.Report,
 	tb.setActiveSwarm(pool)
 	defer tb.setActiveSwarm(nil)
 
-	// Mock mode publishes through the digi swarm fleet so payloads are
-	// the runtime's deterministic random walks; either way the pool is
-	// the message plane. A profiled load hands the fleet its own
-	// compiled sampler so sampled payloads route onto per-kind device
-	// topics (the sampler compile is pure, so the fleet's copy maps
-	// devices to kinds identically to the generator's).
-	var fire swarm.Fire
-	if spec.Mock {
-		opts := digi.SwarmFleetOptions{
-			Devices: load.Devices,
-			Seed:    load.Seed,
-			Prefix:  load.Prefix,
-			QoS:     load.QoS,
-			Publish: pool.Publish,
-		}
-		if load.DeviceProfile != nil {
-			smp, err := profile.Compile(load.DeviceProfile, load.Devices, load.Seed)
-			if err != nil {
-				return nil, err
-			}
-			opts.Sampler = smp
-			opts.Devices = smp.Devices()
-		}
-		fleet, err := tb.Runtime.NewSwarmFleet(opts)
-		if err != nil {
-			return nil, err
-		}
-		fire = fleet.Fire
-	}
-	sess, err := swarm.NewSession(pool, load, tb.Obs, fire)
+	sess, err := swarm.NewSession(pool, load, tb.Obs)
 	if err != nil {
 		return nil, err
 	}
-	// The capture tap rides a dedicated consumer on the pool so it
-	// sees exactly what the run's subscribers see (one copy per
-	// message, not per subscriber).
+	if spec.published != nil {
+		sess.OnPublish(spec.published)
+	}
+	// The tap rides a dedicated consumer on the pool so it sees
+	// exactly what the run's subscribers see (one copy per message,
+	// not per subscriber).
 	if spec.Tap != nil {
 		tapFilter := load.Prefix + "/+/status"
 		if err := pool.Subscribe("capture-tap", tapFilter, load.QoS, func(m broker.Message) {

@@ -85,12 +85,11 @@ func TestRunSwarmSpreadsWorkersAndLosesNothing(t *testing.T) {
 	}
 }
 
-// TestRunSwarmMockFleet drives the digi swarm-mock fleet through the
-// pool: closed-loop, every device publishes at least once, zero loss.
-func TestRunSwarmMockFleet(t *testing.T) {
+// TestRunSwarmClosedLoop drives closed-loop load through the pool:
+// every device publishes at least once, zero loss.
+func TestRunSwarmClosedLoop(t *testing.T) {
 	tb := swarmTestbed(t, NodeSpec{Name: "laptop", Capacity: 16, Zone: "local"})
 	rep, err := tb.RunSwarm(context.Background(), SwarmSpec{
-		Mock: true,
 		Load: swarm.LoadSpec{
 			Profile:  swarm.ProfileClosed,
 			Devices:  40,

@@ -118,11 +118,9 @@ type SwarmRequest struct {
 	Workers     int     `json:"workers,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
 	QoS         int     `json:"qos,omitempty"`
-	Payload     int     `json:"payload,omitempty"`
 	Subscribers int     `json:"subscribers,omitempty"`
 	Prefix      string  `json:"prefix,omitempty"`
 	Shards      int     `json:"shards,omitempty"`
-	Mock        bool    `json:"mock,omitempty"`
 	// Kills is the failover-drill schedule (`dbox swarm -kill-shard`).
 	Kills []SwarmKill `json:"kills,omitempty"`
 	// DeviceProfile is an optional device-population profile in its
@@ -167,13 +165,11 @@ func (r SwarmRequest) spec() (core.SwarmSpec, error) {
 			Workers:       r.Workers,
 			Seed:          r.Seed,
 			QoS:           byte(r.QoS),
-			Payload:       r.Payload,
 			Subs:          r.Subscribers,
 			Prefix:        r.Prefix,
 			DeviceProfile: prof,
 		},
 		Shards: r.Shards,
-		Mock:   r.Mock,
 		Kills:  kills,
 	}, nil
 }

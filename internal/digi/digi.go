@@ -324,10 +324,19 @@ func (rt *Runtime) markReady(name string) {
 // model (so no subsequent update can be missed), or the timeout
 // elapses. Testbeds use this between starting a digi and driving it.
 func (rt *Runtime) WaitReady(name string, timeout time.Duration) error {
+	ready := rt.readyCh(name)
 	select {
-	case <-rt.readyCh(name):
+	case <-ready:
 		return nil
 	case <-rt.clk().After(timeout):
+	}
+	// The timeout bounds the schedule, not host goroutine latency: on
+	// a time-compressed clock it can expire while the pod → reconciler
+	// chain is still starting, so grant a short wall-clock grace.
+	select {
+	case <-ready:
+		return nil
+	case <-clock.System.After(2 * time.Second):
 		return fmt.Errorf("digi: %s not ready after %v", name, timeout)
 	}
 }

@@ -337,49 +337,33 @@ func (pw *PodWatch) Close() { pw.w.Close() }
 // WaitPodPhase blocks until the pod reaches the phase or the timeout
 // elapses.
 func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duration) error {
-	deadline := c.clock.Now().Add(timeout)
 	w := c.api.watchPods(func(ev PodEvent) bool { return ev.Pod.Name == name })
 	defer w.Close()
+	// On a time-compressed clock the scenario deadline can expire in
+	// the same wall instant as the goroutine chain still propagating
+	// the transition (scheduler → agent → watch). The clocked timeout
+	// bounds the *schedule*, not the host's goroutine latency, so once
+	// it expires the wait grants a short wall-clock grace before
+	// declaring failure.
+	expired := c.clock.After(timeout)
+	var grace <-chan time.Time
 	for {
-		remain := deadline.Sub(c.clock.Now())
-		if remain <= 0 {
-			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
-		}
 		select {
 		case ev, ok := <-w.C:
 			if !ok {
 				return fmt.Errorf("kube: watch closed waiting for pod %q", name)
 			}
-			if ev.Type != Deleted && ev.Pod.Status.Phase == phase {
-				return nil
-			}
 			if ev.Type == Deleted {
 				return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
 			}
-		case <-c.clock.After(remain):
-			// On a time-compressed clock the scenario deadline can
-			// expire in the same wall instant as the goroutine chain
-			// still propagating the transition (scheduler → agent →
-			// watch). The clocked timeout bounds the *schedule*, not
-			// the host's goroutine latency, so grant a short
-			// wall-clock grace before declaring failure.
-			grace := clock.System.After(2 * time.Second)
-			for {
-				select {
-				case ev, ok := <-w.C:
-					if !ok {
-						return fmt.Errorf("kube: watch closed waiting for pod %q", name)
-					}
-					if ev.Type == Deleted {
-						return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
-					}
-					if ev.Pod.Status.Phase == phase {
-						return nil
-					}
-				case <-grace:
-					return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
-				}
+			if ev.Pod.Status.Phase == phase {
+				return nil
 			}
+		case <-expired:
+			expired = nil
+			grace = clock.System.After(2 * time.Second)
+		case <-grace:
+			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
 		}
 	}
 }

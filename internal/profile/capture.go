@@ -1,10 +1,11 @@
 package profile
 
-// Traffic capture: observe live broker/swarm messages on an injected
-// clock and fit them back into a Profile. The fit is per topic class
-// (device topics collapse by stripping the per-device "-<idx>" suffix
-// from the middle segment), aggregating inter-arrival gap statistics,
-// payload field ranges, firmware skew, and a windowed burst detector.
+// Traffic capture: observe live broker messages on an injected clock,
+// or swarm messages at their scheduled offsets, and fit them back into
+// a Profile. The fit is per topic class (device topics collapse by
+// stripping the per-device "-<idx>" suffix from the middle segment),
+// aggregating inter-arrival gap statistics, payload field ranges,
+// firmware skew, and a windowed burst detector.
 // The fitted profile is an ordinary Profile value: committable to the
 // scene repository, checkable by `dbox vet`, replayable by the swarm
 // generator with the same seed.
@@ -61,10 +62,10 @@ type classAgg struct {
 	malformedPayloads int64
 }
 
-// Capture records traffic into per-class aggregates. Observe is safe
-// for concurrent use; arrival offsets come from the injected clock, so
-// a capture on a time-compressed testbed measures scenario time, not
-// wall time.
+// Capture records traffic into per-class aggregates. Observe and
+// ObserveAt are safe for concurrent use; Observe's arrival offsets come
+// from the injected clock, so a capture on a time-compressed testbed
+// measures scenario time, not wall time.
 type Capture struct {
 	clk   clock.Clock
 	mu    sync.Mutex
@@ -112,9 +113,17 @@ func isDigits(s string) bool {
 	return true
 }
 
-// Observe records one message arrival.
+// Observe records one message arrival at the capture clock's current
+// offset — the view of a tap that only sees deliveries.
 func (c *Capture) Observe(topic string, payload []byte) {
-	at := c.clk.Since(c.start)
+	c.ObserveAt(topic, c.clk.Since(c.start), payload)
+}
+
+// ObserveAt records one message at offset at from capture start. A
+// publisher that knows each message's scheduled offset feeds it here,
+// so the fit depends on the schedule alone. Offsets must increase per
+// topic; across topics they may arrive in any order.
+func (c *Capture) ObserveAt(topic string, at time.Duration, payload []byte) {
 	cls := ClassOf(topic)
 
 	c.mu.Lock()
@@ -132,7 +141,8 @@ func (c *Capture) Observe(topic string, payload []byte) {
 		c.byCls[cls] = agg
 	}
 	agg.count++
-	agg.lastAt = at
+	agg.firstAt = min(agg.firstAt, at)
+	agg.lastAt = max(agg.lastAt, at)
 	agg.windows[int64(at/burstWindow)]++
 
 	ta := agg.topics[topic]

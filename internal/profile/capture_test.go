@@ -54,6 +54,51 @@ func feed(t *testing.T, cap *Capture, clk *clock.Virtual, p *Profile, devices in
 	}
 }
 
+// TestCaptureObserveAtIsOrderFree pins what swarm captures rely on:
+// fed scheduled offsets through ObserveAt, the fit is a function of the
+// schedule alone — device-major order (as concurrent workers would
+// interleave it) fits the same profile as clocked arrival order.
+func TestCaptureObserveAtIsOrderFree(t *testing.T) {
+	src := &Profile{
+		Name: "src",
+		Seed: 5,
+		Populations: []Population{
+			{Kind: "lamp", Count: 6, Cadence: Cadence{Dist: DistFixed, Mean: 200 * time.Millisecond},
+				Fields: []Field{{Name: "mode", Gen: GenEnum, States: []string{"on", "off", "dim"}, PChange: 0.2}}},
+			{Kind: "dev", Count: 9, Cadence: Cadence{Dist: DistPoisson, Mean: 150 * time.Millisecond},
+				Fields: []Field{{Name: "v", Gen: GenRandomWalk, Min: 0, Max: 1}}},
+		},
+	}
+	const duration = 30 * time.Second
+	clk := clock.NewVirtual()
+	clocked := NewCapture(clk)
+	feed(t, clocked, clk, src, 0, duration)
+
+	scheduled := NewCapture(clock.NewVirtual())
+	s, err := Compile(src, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Walk(src, 0, 0, duration, func(d int, at time.Duration, payload []byte) {
+		scheduled.ObserveAt(s.DeviceTopic("swarm", d), at, payload)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Marshal(clocked.Fit(FitOptions{Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Marshal(scheduled.Fit(FitOptions{Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("fit depends on arrival order:\nclocked:\n%s\nscheduled:\n%s", a, b)
+	}
+}
+
 // TestCaptureRoundTrip is the acceptance property in miniature:
 // capture a run, fit a profile, replay the fitted profile with its
 // seed, and the per-topic-class message counts agree within 5%.

@@ -482,14 +482,8 @@ func FromValue(v any) (*Profile, error) {
 		}
 		p.Populations = append(p.Populations, pop)
 	}
-	sortFirmwareStable(p)
 	return p, nil
 }
-
-// sortFirmwareStable is a no-op hook kept for clarity: firmware maps
-// are consumed in sorted-key order everywhere (compile, marshal), so
-// map iteration order never leaks into sampler output.
-func sortFirmwareStable(*Profile) {}
 
 // Marshal renders the profile as a single-document YAML object after
 // validating it.

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -12,33 +11,33 @@ import (
 	"repro/internal/profile"
 )
 
-// Profile selects the load-generation discipline.
+// Profile selects the load-generation discipline. Every discipline
+// runs as a compiled device profile: closed and open are sugar for a
+// one-population synthetic profile (see LoadSpec.deviceProfile), so a
+// run's message set is always a pure function of (spec, seed).
 type Profile string
 
 const (
 	// ProfileClosed is closed-loop load: N devices each publishing once
 	// per period, the classic "device fleet" shape. Offered load is
-	// Devices/Period msgs/s; a slow system stretches the cycle instead
-	// of queueing unboundedly.
+	// Devices/Period msgs/s; every device fires in phase at k·Period.
 	ProfileClosed Profile = "closed"
 	// ProfileOpen is open-loop load: a target message rate with Poisson
-	// arrivals, seeded for determinism. Offered load is independent of
-	// the system's speed — the profile that exposes saturation.
+	// arrivals, seeded for determinism. Each device is an independent
+	// Poisson source at Rate/Devices, which superposes to a Poisson
+	// process at Rate — offered load independent of the system's speed,
+	// the profile that exposes saturation.
 	ProfileOpen Profile = "open"
 	// ProfileProfiled drives a heterogeneous device-profile schedule
 	// (LoadSpec.DeviceProfile): per-population cadences, payload
-	// schemas, diurnal/burst modulation. The schedule is pure
-	// arithmetic on (profile, seed, device), so the fire stream is
-	// identical at every -speed factor.
+	// schemas, diurnal/burst modulation.
 	ProfileProfiled Profile = "profiled"
 )
 
-// openQuantum batches open-loop arrivals: each worker draws all
-// arrivals falling inside a 5 ms window, fires them as a burst, and
-// sleeps to the window boundary. 5 ms keeps timer pressure at 200
-// wakeups/s/worker while staying far below the latency floors being
-// measured.
-const openQuantum = 5 * time.Millisecond
+// maxDeviceRate is the fastest per-device rate an open spec may ask
+// for: the sampler floors every gap at 1 ms, so a faster device would
+// silently offer less than the requested rate.
+const maxDeviceRate = 1000
 
 // LoadSpec describes one swarm load run.
 type LoadSpec struct {
@@ -50,7 +49,6 @@ type LoadSpec struct {
 	Workers  int           `json:"workers"`  // generator workers (one pod each)
 	Seed     int64         `json:"seed"`
 	QoS      byte          `json:"qos"`
-	Payload  int           `json:"payload"`     // payload size in bytes
 	Subs     int           `json:"subscribers"` // wildcard consumers
 	Prefix   string        `json:"prefix"`      // topic prefix, default "swarm"
 
@@ -96,9 +94,6 @@ func (s LoadSpec) WithDefaults() LoadSpec {
 	if s.QoS > 1 {
 		s.QoS = 1
 	}
-	if s.Payload <= 0 {
-		s.Payload = 64
-	}
 	if s.Subs <= 0 {
 		s.Subs = 2
 	}
@@ -126,13 +121,47 @@ func (s LoadSpec) Validate() error {
 	if s.Devices <= 0 {
 		return fmt.Errorf("swarm: devices must be positive")
 	}
-	if s.Profile == ProfileOpen && s.Rate <= 0 {
-		return fmt.Errorf("swarm: open profile needs a positive rate")
+	if s.Profile == ProfileOpen {
+		if s.Rate <= 0 {
+			return fmt.Errorf("swarm: open profile needs a positive rate")
+		}
+		if s.Rate/float64(s.Devices) > maxDeviceRate {
+			return fmt.Errorf("swarm: open rate %.0f msg/s over %d devices exceeds %d msg/s per device; add devices",
+				s.Rate, s.Devices, maxDeviceRate)
+		}
 	}
 	if s.Profile == ProfileClosed && s.Period <= 0 {
 		return fmt.Errorf("swarm: closed profile needs a positive period")
 	}
 	return nil
+}
+
+// deviceProfile is the profile a defaulted spec compiles: the
+// DeviceProfile itself for profiled runs, otherwise a one-population
+// synthetic profile. Its devices keep the plain "prefix/dev-N/status"
+// topics, fire at a fixed Period (closed) or as Poisson sources at
+// Rate/Devices each (open), and carry one random-walk reading v.
+func (s LoadSpec) deviceProfile() *profile.Profile {
+	if s.Profile == ProfileProfiled {
+		return s.DeviceProfile
+	}
+	cad := profile.Cadence{Dist: profile.DistFixed, Mean: s.Period}
+	if s.Profile == ProfileOpen {
+		cad = profile.Cadence{
+			Dist: profile.DistPoisson,
+			Mean: time.Duration(float64(time.Second) * float64(s.Devices) / s.Rate),
+		}
+	}
+	return &profile.Profile{
+		Name: string(s.Profile),
+		Seed: s.Seed,
+		Populations: []profile.Population{{
+			Kind:    "dev",
+			Count:   s.Devices,
+			Cadence: cad,
+			Fields:  []profile.Field{{Name: "v", Gen: profile.GenRandomWalk, Min: 0, Max: 1}},
+		}},
+	}
 }
 
 // DeviceTopic returns the status topic for device i under prefix —
@@ -142,12 +171,11 @@ func DeviceTopic(prefix string, i int) string {
 	return fmt.Sprintf("%s/dev-%d/status", prefix, i)
 }
 
-// Fire is the generator's emit callback: device index, a per-worker
-// sequence number, and — for profiled runs — the sampled payload.
-// Closed/open runs pass a nil payload and the publisher synthesizes
-// one. Fire must be safe for concurrent use across devices; a single
-// device is only ever fired by its owning worker.
-type Fire func(device int, seq uint64, payload []byte)
+// Fire is the generator's emit callback: device index, the message's
+// scheduled offset from run start, and the sampled payload. Fire must
+// be safe for concurrent use across devices; a single device is only
+// ever fired by its owning worker.
+type Fire func(device int, at time.Duration, payload []byte)
 
 // Generator paces fire callbacks according to a LoadSpec. Create with
 // NewGenerator, then run each worker (RunWorker) until its context
@@ -162,30 +190,21 @@ type Generator struct {
 
 // NewGenerator builds a generator over a defaulted, validated spec.
 // fire is called for every generated message; it must be safe for
-// concurrent use. A profiled spec compiles its device profile here,
-// so an unsatisfiable profile fails fast rather than producing a
-// silent zero-message run.
+// concurrent use. The spec's device profile is compiled here, so an
+// unsatisfiable profile fails fast rather than producing a silent
+// zero-message run.
 func NewGenerator(spec LoadSpec, fire Fire) (*Generator, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{spec: spec, fire: fire, clk: clock.System}
-	if spec.Profile == ProfileProfiled {
-		s, err := profile.Compile(spec.DeviceProfile, spec.Devices, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g.sampler = s
-		g.spec.Devices = s.Devices()
+	s, err := profile.Compile(spec.deviceProfile(), spec.Devices, spec.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
+	spec.Devices = s.Devices()
+	return &Generator{spec: spec, fire: fire, clk: clock.System, sampler: s}, nil
 }
-
-// Sampler returns the compiled device-profile sampler (nil unless the
-// spec is profiled). Publishers use it to route sampled payloads onto
-// per-kind device topics.
-func (g *Generator) Sampler() *profile.Sampler { return g.sampler }
 
 // SetClock replaces the generator's pacing clock (default: the wall
 // clock). Call before RunWorker; a virtual clock lets a load run be
@@ -201,118 +220,17 @@ func (g *Generator) Workers() int { return g.spec.Workers }
 // Published returns the number of fire calls made so far.
 func (g *Generator) Published() int64 { return atomic.LoadInt64(&g.count) }
 
-// RunWorker drives worker w until the spec's duration elapses or ctx
-// is cancelled. Deterministic per (seed, worker): the sequence of
-// devices and inter-arrival draws depends only on those, never on
-// scheduling.
+// RunWorker drives worker w until its slice of the schedule runs dry
+// or ctx is cancelled. The worker terminates intrinsically: the
+// schedule runs dry when every owned device's next arrival falls past
+// Duration. No clocked cancel is armed, because a cancel firing at
+// exactly the Duration boundary would race the final arrivals and
+// make the emitted message set depend on timer ordering.
 func (g *Generator) RunWorker(ctx context.Context, w int) error {
 	if w < 0 || w >= g.spec.Workers {
 		return fmt.Errorf("swarm: worker %d out of range [0,%d)", w, g.spec.Workers)
 	}
-	// A profiled worker terminates intrinsically: the schedule runs
-	// dry when every owned device's next arrival falls past Duration.
-	// No clocked cancel is armed, because a cancel firing at exactly
-	// the Duration boundary would race the final arrivals and make the
-	// emitted message set depend on timer ordering — the one thing a
-	// profiled run must never do.
-	if g.spec.Profile == ProfileProfiled {
-		return g.runProfiled(ctx, w)
-	}
-	// The run window is g.spec.Duration of *generator-clock* time:
-	// context deadlines cannot ride an injected clock, so a clocked
-	// AfterFunc cancels the context instead. On the wall clock this is
-	// the old wall deadline; on a compressed clock the window tracks
-	// scenario time, so a 2s burst at 1000x lasts 2ms of wall time
-	// rather than publishing flat-out for 2 wall seconds.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopT := g.clk.AfterFunc(g.spec.Duration, cancel)
-	defer stopT.Stop()
-	if g.spec.Profile == ProfileOpen {
-		return g.runOpen(ctx, w)
-	}
-	return g.runClosed(ctx, w)
-}
-
-// runClosed cycles this worker's device slice once per period. Workers
-// own devices round-robin (device d belongs to worker d mod W), and
-// each worker staggers its start across the first period so the fleet
-// doesn't publish in one synchronized burst.
-func (g *Generator) runClosed(ctx context.Context, w int) error {
-	var owned []int
-	for d := w; d < g.spec.Devices; d += g.spec.Workers {
-		owned = append(owned, d)
-	}
-	if len(owned) == 0 {
-		return nil
-	}
-	stagger := g.spec.Period * time.Duration(w) / time.Duration(g.spec.Workers)
-	select {
-	case <-g.clk.After(stagger):
-	case <-ctx.Done():
-		return nil
-	}
-	ticker := g.clk.NewTicker(g.spec.Period)
-	defer ticker.Stop()
-	var seq uint64
-	cycle := func() {
-		for _, d := range owned {
-			g.fire(d, seq, nil)
-			atomic.AddInt64(&g.count, 1)
-			seq++
-		}
-	}
-	cycle()
-	for {
-		select {
-		case <-ticker.C():
-			cycle()
-		case <-ctx.Done():
-			return nil
-		}
-	}
-}
-
-// runOpen generates a Poisson arrival process at Rate/Workers msgs/s:
-// exponential inter-arrival draws from a per-worker seeded source,
-// batched per quantum. The draw sequence (devices and gaps) is fully
-// deterministic for a (seed, worker) pair; wall-clock jitter shifts
-// when a burst fires, never what it contains.
-func (g *Generator) runOpen(ctx context.Context, w int) error {
-	rng := rand.New(rand.NewSource(g.spec.Seed + int64(w)*0x9E3779B9))
-	rate := g.spec.Rate / float64(g.spec.Workers)
-	start := g.clk.Now()
-	next := rng.ExpFloat64() / rate // seconds from start of the next arrival
-	var seq uint64
-	for {
-		elapsed := g.clk.Since(start).Seconds()
-		qEnd := elapsed + openQuantum.Seconds()
-		for next <= qEnd {
-			select {
-			case <-ctx.Done():
-				return nil
-			default:
-			}
-			g.fire(rng.Intn(g.spec.Devices), seq, nil)
-			atomic.AddInt64(&g.count, 1)
-			seq++
-			next += rng.ExpFloat64() / rate
-		}
-		sleep := time.Duration((qEnd - g.clk.Since(start).Seconds()) * float64(time.Second))
-		if sleep > 0 {
-			select {
-			case <-g.clk.After(sleep):
-			case <-ctx.Done():
-				return nil
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return nil
-			default:
-			}
-		}
-	}
+	return g.runProfiled(ctx, w)
 }
 
 // pendArrival is one scheduled profiled message waiting to fire.
@@ -359,7 +277,6 @@ func (g *Generator) runProfiled(ctx context.Context, w int) error {
 		}
 	}
 	start := g.clk.Now()
-	var seq uint64
 	for h.Len() > 0 {
 		next := h[0]
 		if sleep := next.at - g.clk.Since(start); sleep > 0 {
@@ -372,8 +289,7 @@ func (g *Generator) runProfiled(ctx context.Context, w int) error {
 			return nil
 		}
 		heap.Pop(&h)
-		g.fire(next.device, seq, next.payload)
-		seq++
+		g.fire(next.device, next.at, next.payload)
 		atomic.AddInt64(&g.count, 1)
 		if at, payload := g.sampler.NextFire(next.device); at < g.spec.Duration {
 			heap.Push(&h, pendArrival{at, next.device, payload})

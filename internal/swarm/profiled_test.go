@@ -48,7 +48,7 @@ func runProfiledOn(t *testing.T, clk clock.Clock, drive func(), done func()) map
 	var mu sync.Mutex
 	streams := map[int][]firedMsg{}
 	start := clk.Now()
-	g, err := NewGenerator(profiledSpec(), func(device int, _ uint64, payload []byte) {
+	g, err := NewGenerator(profiledSpec(), func(device int, _ time.Duration, payload []byte) {
 		mu.Lock()
 		streams[device] = append(streams[device], firedMsg{clk.Since(start), append([]byte(nil), payload...)})
 		mu.Unlock()
@@ -172,7 +172,7 @@ func TestProfiledDefaultsAndValidation(t *testing.T) {
 
 	bad := profiledSpec()
 	bad.DeviceProfile.Populations[0].Cadence.Mean = 0
-	if _, err := NewGenerator(bad, func(int, uint64, []byte) {}); err == nil {
+	if _, err := NewGenerator(bad, func(int, time.Duration, []byte) {}); err == nil {
 		t.Fatal("unsatisfiable profile accepted by NewGenerator")
 	}
 }

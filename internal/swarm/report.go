@@ -26,7 +26,6 @@ type Report struct {
 	PeriodSec   float64 `json:"period_sec,omitempty"`   // closed-loop per-device period
 	ProfileName string  `json:"profile_name,omitempty"` // device profile driving a profiled run
 	DurationSec float64 `json:"duration_sec"`           // measured wall-clock run length
-	PayloadSize int     `json:"payload_size"`
 
 	// Exact message accounting. Expected = Published × Subscribers
 	// (every consumer holds a wildcard matching every device topic);

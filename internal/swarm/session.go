@@ -28,31 +28,21 @@ type Session struct {
 	reg  *obs.Registry
 	clk  clock.Clock
 
+	onPublish func(topic string, at time.Duration, payload []byte)
 	delivered int64
 	started   time.Time
-	payload   []byte
 }
 
 // NewSession defaults and validates spec, subscribes the consumers,
-// and prepares the generator. fire overrides how a generated message
-// is published; nil means the built-in synthetic publisher (seq+device
-// JSON padded to the payload size, QoS from the spec, via the pool).
-// The digi swarm-mock fleet passes its own fire to publish stateful
-// mock payloads instead.
-func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry, fire Fire) (*Session, error) {
+// and prepares the generator. Every generated message is published
+// through the pool on its device topic, with the spec's QoS.
+func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Session{pool: pool, spec: spec, reg: reg, clk: clock.System}
-	s.payload = make([]byte, spec.Payload)
-	for i := range s.payload {
-		s.payload[i] = 'x'
-	}
-	if fire == nil {
-		fire = s.firePool
-	}
-	gen, err := NewGenerator(spec, fire)
+	gen, err := NewGenerator(spec, s.firePool)
 	if err != nil {
 		return nil, err
 	}
@@ -86,27 +76,24 @@ func (s *Session) SetClock(c clock.Clock) {
 	s.started = s.clk.Now()
 }
 
-// firePool is the built-in publisher. Closed/open runs (nil payload)
-// synthesize JSON carrying the sequence number and device index,
-// padded to the configured payload size. Profiled runs arrive with
-// the sampled payload and publish it on the sampler's per-kind device
-// topic.
-func (s *Session) firePool(device int, seq uint64, payload []byte) {
-	topic := DeviceTopic(s.spec.Prefix, device)
-	if payload == nil {
-		head := fmt.Sprintf(`{"seq":%d,"dev":%d,"pad":"`, seq, device)
-		buf := make([]byte, 0, s.spec.Payload+2)
-		buf = append(buf, head...)
-		if pad := s.spec.Payload - len(head) - 2; pad > 0 {
-			buf = append(buf, s.payload[:pad]...)
-		}
-		payload = append(buf, '"', '}')
-	} else if sm := s.gen.Sampler(); sm != nil {
-		topic = sm.DeviceTopic(s.spec.Prefix, device)
-	}
+// OnPublish registers fn to see every message the pool accepted, with
+// its scheduled offset from run start — the schedule-true view a
+// capture fits from, free of delivery-side clock reads. Call before
+// RunWorker; fn runs on generator workers and must be safe for
+// concurrent use.
+func (s *Session) OnPublish(fn func(topic string, at time.Duration, payload []byte)) {
+	s.onPublish = fn
+}
+
+// firePool publishes one sampled message on its device topic.
+func (s *Session) firePool(device int, at time.Duration, payload []byte) {
+	topic := s.gen.sampler.DeviceTopic(s.spec.Prefix, device)
 	// Non-retained: load traffic must not trigger the bridge's
 	// retained full-replication path.
-	s.pool.Publish(loadFrom, topic, payload, s.spec.QoS, false)
+	err := s.pool.Publish(loadFrom, topic, payload, s.spec.QoS, false)
+	if err == nil && s.onPublish != nil {
+		s.onPublish(topic, at, payload)
+	}
 }
 
 // Spec returns the defaulted spec this session runs.
@@ -152,7 +139,6 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 		QoS:            int(s.spec.QoS),
 		Seed:           s.spec.Seed,
 		DurationSec:    elapsed,
-		PayloadSize:    s.spec.Payload,
 		Published:      published,
 		Expected:       expected,
 		Delivered:      delivered,

@@ -2,12 +2,19 @@ package swarm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"hash"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/clock"
 	"repro/internal/obs"
+	"repro/internal/profile"
 )
 
 func TestRingPlacement(t *testing.T) {
@@ -43,98 +50,131 @@ func TestLoadSpecValidate(t *testing.T) {
 	if err := defaulted.Validate(); err != nil {
 		t.Fatalf("defaulted spec rejected: %v", err)
 	}
+	// The sampler floors gaps at 1 ms, so more than 1,000 msg/s per
+	// device would silently offer less than the requested rate.
+	fast := LoadSpec{Profile: ProfileOpen, Devices: 4, Rate: 4001}.WithDefaults()
+	if err := fast.Validate(); err == nil || !strings.Contains(err.Error(), "add devices") {
+		t.Fatalf("open rate over 1000 msg/s per device: err = %v, want an add-devices error", err)
+	}
+	fast.Rate = 4000
+	if err := fast.Validate(); err != nil {
+		t.Fatalf("open rate of exactly 1000 msg/s per device rejected: %v", err)
+	}
 }
 
-// TestOpenLoopDeterminism runs the same seeded open-loop worker twice
-// and asserts the generated (device, seq) stream is identical up to
-// the shorter run — wall-clock timing may cut the runs at different
-// points, but the draw sequence is pinned by the seed.
-func TestOpenLoopDeterminism(t *testing.T) {
-	run := func() [][]int {
-		spec := LoadSpec{
-			Profile: ProfileOpen, Devices: 50, Rate: 4000,
-			Duration: 150 * time.Millisecond, Workers: 3, Seed: 42,
-		}
-		perWorker := make([][]int, 3)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			w := w
-			g, err := NewGenerator(spec, func(device int, seq uint64, _ []byte) {
-				mu.Lock()
-				perWorker[w] = append(perWorker[w], device)
-				mu.Unlock()
-			})
+// topicDigest folds per-topic payload streams into one SHA-256 digest:
+// each topic's payloads chain in arrival order, and the chains fold in
+// sorted topic order, so the digest ignores cross-device interleaving.
+type topicDigest struct {
+	mu     sync.Mutex
+	chains map[string]hash.Hash
+}
+
+func newTopicDigest() *topicDigest { return &topicDigest{chains: map[string]hash.Hash{}} }
+
+func (d *topicDigest) observe(topic string, payload []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h := d.chains[topic]
+	if h == nil {
+		h = sha256.New()
+		d.chains[topic] = h
+	}
+	h.Write(payload)
+}
+
+func (d *topicDigest) sum() (string, int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	topics := make([]string, 0, len(d.chains))
+	for topic := range d.chains {
+		topics = append(topics, topic)
+	}
+	sort.Strings(topics)
+	fold := sha256.New()
+	for _, topic := range topics {
+		fold.Write([]byte(topic))
+		fold.Write(d.chains[topic].Sum(nil))
+	}
+	return hex.EncodeToString(fold.Sum(nil)), len(topics)
+}
+
+// TestSyntheticLoadOracle holds closed and open sessions, run unpaced
+// at SpeedMax, to the clock-free oracles of their synthetic profile:
+// every device fires, deliveries equal Subs × the ExpectedCounts
+// total with zero loss, and a delivery-side tap digests to exactly the
+// profile.Walk schedule.
+func TestSyntheticLoadOracle(t *testing.T) {
+	for _, spec := range []LoadSpec{
+		{Profile: ProfileClosed, Devices: 23, Period: 40 * time.Millisecond,
+			Duration: 2 * time.Second, Workers: 4, QoS: 1, Subs: 2, Seed: 1},
+		{Profile: ProfileOpen, Devices: 50, Rate: 4000,
+			Duration: 2 * time.Second, Workers: 3, QoS: 1, Subs: 2, Seed: 42},
+	} {
+		t.Run(string(spec.Profile), func(t *testing.T) {
+			spec = spec.WithDefaults()
+			p := spec.deviceProfile()
+			counts, err := profile.ExpectedCounts(p, spec.Devices, spec.Seed, spec.Duration)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := g.RunWorker(context.Background(), w); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		return perWorker
-	}
-	a, b := run(), run()
-	for w := 0; w < 3; w++ {
-		n := len(a[w])
-		if len(b[w]) < n {
-			n = len(b[w])
-		}
-		if n == 0 {
-			t.Fatalf("worker %d generated nothing", w)
-		}
-		for i := 0; i < n; i++ {
-			if a[w][i] != b[w][i] {
-				t.Fatalf("worker %d diverged at %d: %d vs %d", w, i, a[w][i], b[w][i])
+			want := newTopicDigest()
+			err = profile.Walk(p, spec.Devices, spec.Seed, spec.Duration,
+				func(d int, _ time.Duration, payload []byte) {
+					want.observe(DeviceTopic(spec.Prefix, d), payload)
+				})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
+			wantDigest, _ := want.sum()
 
-// TestClosedLoopCoverage checks the closed profile owns every device
-// exactly once across workers and cycles each at the period.
-func TestClosedLoopCoverage(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]int{}
-	spec := LoadSpec{
-		Profile: ProfileClosed, Devices: 23, Period: 40 * time.Millisecond,
-		Duration: 140 * time.Millisecond, Workers: 4, Seed: 1,
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		g, err := NewGenerator(spec, func(device int, _ uint64, _ []byte) {
-			mu.Lock()
-			seen[device]++
-			mu.Unlock()
+			pool := NewPool(PoolOptions{Shards: 3})
+			defer pool.Close()
+			tap := newTopicDigest()
+			filter := spec.Prefix + "/+/status"
+			if err := pool.Subscribe("oracle-tap", filter, spec.QoS, func(m broker.Message) {
+				tap.observe(m.Topic, m.Payload)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewSession(pool, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := clock.NewScaled(clock.SpeedMax, nil)
+			go clk.Drive()
+			defer clk.Stop()
+			sess.SetClock(clk)
+			var wg sync.WaitGroup
+			for w := 0; w < sess.Workers(); w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					if err := sess.RunWorker(context.Background(), w); err != nil {
+						t.Error(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+			rep := sess.Finish(5 * time.Second)
+			pool.Unsubscribe("oracle-tap", filter)
+
+			gotDigest, fired := tap.sum()
+			if fired != spec.Devices {
+				t.Fatalf("%d of %d devices fired", fired, spec.Devices)
+			}
+			total := counts["dev"]
+			if rep.Published != total || rep.Delivered != int64(spec.Subs)*total {
+				t.Fatalf("published %d, delivered %d; oracle expects %d and %d",
+					rep.Published, rep.Delivered, total, int64(spec.Subs)*total)
+			}
+			if rep.Lost != 0 {
+				t.Fatalf("lost %d of %d expected deliveries", rep.Lost, rep.Expected)
+			}
+			if gotDigest != wantDigest {
+				t.Fatalf("tap digest %s != clock-free walk digest %s", gotDigest, wantDigest)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.RunWorker(context.Background(), w)
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != spec.Devices {
-		t.Fatalf("covered %d of %d devices", len(seen), spec.Devices)
-	}
-	for d, n := range seen {
-		// ~3 full cycles fit in the duration; require at least 2 to
-		// tolerate scheduling slop, and cap at 5 to catch runaway
-		// pacing.
-		if n < 2 || n > 5 {
-			t.Fatalf("device %d fired %d times in %v at period %v", d, n, spec.Duration, spec.Period)
-		}
 	}
 }
 
@@ -163,7 +203,7 @@ func testSessionProfile(t *testing.T, spec LoadSpec) {
 	tracer.SetSampleInterval(1) // every message, so quantiles have samples
 	pool := NewPool(PoolOptions{Shards: 3, Obs: reg, Tracer: tracer})
 	defer pool.Close()
-	sess, err := NewSession(pool, spec, reg, nil)
+	sess, err := NewSession(pool, spec, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
